@@ -14,6 +14,14 @@
 //!   to the in-run `while_while_scalar` throughput, which cancels
 //!   machine-speed differences between the baseline host and the runner.
 //!
+//! Two more columns time the warm predictor over wide4: `predicted_wide4`
+//! is `Predicted<WideKernel>::trace_batch` with an `Obs` attached, and
+//! `predicted_wide4_flow` is the same flow through
+//! `trace_occlusion_with_hash` with no counter mirror. Their samples
+//! alternate, and `perf-gate` fails when the smoke run's geomean of
+//! `predicted_wide4 / predicted_wide4_flow` drops below 0.95 — counters
+//! left on must cost under 5%, measured within one run.
+//!
 //! Run it with:
 //!
 //! ```text
@@ -25,14 +33,17 @@
 //! records the compiled lane backend so the gate can refuse to compare
 //! mismatched configurations.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use rip_bvh::{
-    simd, Bvh, RayBatch, StacklessKernel, TraversalKernel, TraversalKind, WhileWhileKernel,
-    WideBvh, WideKernel,
+    simd, Bvh, RayBatch, StacklessKernel, TraversalKernel, TraversalKind, TraversalResult,
+    WhileWhileKernel, WideBvh, WideKernel,
 };
+use rip_core::{trace_occlusion_with_hash, Predicted, Predictor, PredictorConfig};
 use rip_math::Triangle;
+use rip_obs::{ClockMode, Obs};
 use rip_render::{AoConfig, AoWorkload};
 use rip_scene::{SceneId, SceneScale};
 
@@ -47,6 +58,11 @@ struct Prepared {
 /// Timed samples per kernel (median reported).
 const SAMPLES_FULL: usize = 15;
 const SAMPLES_SMOKE: usize = 3;
+/// Timed samples per predicted column (fastest reported), in both
+/// modes: one pass is a few milliseconds, and the mirror gate compares
+/// two columns within one run, so it needs more than three samples to
+/// ride out a slow stretch of the host.
+const PAIRED_SAMPLES: usize = 31;
 /// The workload is identical in both modes so normalized columns are
 /// comparable between a smoke run and the committed full baseline.
 const VIEWPORT: u32 = 48;
@@ -80,6 +96,88 @@ fn median_secs(samples: usize, mut trace: impl FnMut() -> usize) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// The predicted any-hit flow through the free `trace_*_with_hash`
+/// functions: `Predicted::trace_batch` minus the counter mirror.
+fn predicted_flow(
+    predictor: &mut Predictor,
+    bvh: &Bvh,
+    kernel: &mut WideKernel,
+    batch: &RayBatch,
+) -> Vec<TraversalResult> {
+    (0..batch.len())
+        .map(|i| {
+            let ray = batch.ray(i);
+            let hash = predictor.hash_ray(&ray);
+            let trace = trace_occlusion_with_hash(predictor, bvh, kernel, &ray, hash);
+            let mut stats = trace.prediction_stats;
+            stats += trace.fallback_stats;
+            TraversalResult {
+                hit: trace.hit,
+                stats,
+            }
+        })
+        .collect()
+}
+
+/// Fastest wall-clock seconds of a warm `Predicted<WideKernel>` batch
+/// with an `Obs` attached, and of the same flow with no mirror.
+///
+/// Two predictors with identical training histories trade places between
+/// the variants, and the variants alternate which runs first, so table
+/// placement and host load fall on both alike. Load from other tenants
+/// only ever slows a pass down, so the fastest of many samples is the
+/// steadiest in-run reading.
+fn predicted_fastest_secs(p: &Prepared, samples: usize) -> (f64, f64) {
+    let config = PredictorConfig::paper_default();
+    let obs = Arc::new(Obs::new(ClockMode::Wall));
+    let mut predictors = [(); 2].map(|_| Some(Predictor::new(config, p.bvh.bounds())));
+    let mirrored = |slot: &mut Option<Predictor>| {
+        let predictor = slot.take().expect("predictor in its slot");
+        let mut kernel =
+            Predicted::with_predictor(&p.bvh, predictor, WideKernel::new(&p.wide, &p.bvh))
+                .with_obs(Arc::clone(&obs));
+        let start = Instant::now();
+        let results = std::hint::black_box(kernel.any_hit_batch(&p.batch));
+        let secs = start.elapsed().as_secs_f64();
+        *slot = Some(kernel.into_predictor());
+        (results, secs)
+    };
+    let unmirrored = |slot: &mut Option<Predictor>| {
+        let predictor = slot.as_mut().expect("predictor in its slot");
+        let mut kernel = WideKernel::new(&p.wide, &p.bvh);
+        let start = Instant::now();
+        let results =
+            std::hint::black_box(predicted_flow(predictor, &p.bvh, &mut kernel, &p.batch));
+        (results, start.elapsed().as_secs_f64())
+    };
+    let (mut fastest_mirrored, mut fastest_flow) = (f64::INFINITY, f64::INFINITY);
+    // Two untimed passes (cold, then warm-up) before the timed ones.
+    for i in 0..samples + 2 {
+        let [first, second] = &mut predictors;
+        let (a, b) = if (i / 2) % 2 == 0 {
+            (first, second)
+        } else {
+            (second, first)
+        };
+        let ((with, t_with), (without, t_without)) = if i % 2 == 0 {
+            (mirrored(a), unmirrored(b))
+        } else {
+            let flow = unmirrored(b);
+            (mirrored(a), flow)
+        };
+        assert!(
+            with.iter().zip(&without).all(|(x, y)| x.hit == y.hit),
+            "{}: the mirror changed a predicted answer",
+            p.code
+        );
+        if i >= 2 {
+            fastest_mirrored = fastest_mirrored.min(t_with);
+            fastest_flow = fastest_flow.min(t_without);
+        }
+    }
+    (fastest_mirrored, fastest_flow)
 }
 
 fn main() {
@@ -160,17 +258,21 @@ fn main() {
         let t_wide = median_secs(samples, || {
             batched(&mut WideKernel::new(&p.wide, &p.bvh), &p.batch)
         });
+        let (t_pred, t_flow) = predicted_fastest_secs(p, PAIRED_SAMPLES);
         let rps = |t: f64| n as f64 / t.max(1e-12);
         let speedup = t_scalar / t_ww.max(1e-12);
         println!(
             "{}: batched while-while {:.2}x over per-ray baseline ({:.2} vs {:.2} Mrays/s); \
-             wide4 {:.2} Mrays/s ({:.2}x over batched while-while)",
+             wide4 {:.2} Mrays/s ({:.2}x over batched while-while); \
+             warm predicted wide4 {:.2} Mrays/s ({:.3}x its unmirrored flow)",
             p.code,
             speedup,
             rps(t_ww) / 1e6,
             rps(t_scalar) / 1e6,
             rps(t_wide) / 1e6,
             t_ww / t_wide.max(1e-12),
+            rps(t_pred) / 1e6,
+            t_flow / t_pred.max(1e-12),
         );
         scene_rows.push(format!(
             "    {{\"scene\": \"{}\", \"triangles\": {}, \"rays\": {}, \
@@ -178,7 +280,9 @@ fn main() {
              \"while_while_scalar\": {:.0}, \
              \"while_while_batched\": {:.0}, \
              \"stackless_batched\": {:.0}, \
-             \"wide4_batched\": {:.0}}}, \
+             \"wide4_batched\": {:.0}, \
+             \"predicted_wide4\": {:.0}, \
+             \"predicted_wide4_flow\": {:.0}}}, \
              \"batched_over_scalar_speedup\": {:.4}}}",
             p.code,
             p.bvh.triangle_count(),
@@ -187,6 +291,8 @@ fn main() {
             rps(t_ww),
             rps(t_sl),
             rps(t_wide),
+            rps(t_pred),
+            rps(t_flow),
             speedup
         ));
         speedups.push(speedup);

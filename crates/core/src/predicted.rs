@@ -17,8 +17,9 @@
 
 use crate::traverse::{trace_closest_with, trace_occlusion_with, PredictedTrace};
 use crate::{PredictionStats, Predictor, PredictorConfig};
-use rip_bvh::{Bvh, TraversalKernel, TraversalKind, TraversalResult};
+use rip_bvh::{Bvh, RayBatch, TraversalKernel, TraversalKind, TraversalResult};
 use rip_math::Ray;
+use rip_obs::Counter;
 use std::sync::Arc;
 
 /// A traversal kernel accelerated by the intersection predictor.
@@ -46,10 +47,31 @@ pub struct Predicted<'a, K> {
     predictor: Predictor,
     kernel: K,
     obs: Arc<rip_obs::Obs>,
-    /// Predictor stats already mirrored into the registry, so each
-    /// trace adds exactly its own delta (registry == stats always).
+    /// The [`MIRRORED`] handles in `obs`, resolved on the first flush —
+    /// so re-routing through [`Predicted::with_obs`] never registers a
+    /// `predictor.*` path in the instance it replaced.
+    counters: Option<[Counter; MIRRORED.len()]>,
+    /// Predictor stats already flushed into the registry, so each flush
+    /// adds exactly the delta since the last one.
     mirrored: PredictionStats,
 }
+
+/// Reads one [`PredictionStats`] field.
+type StatsField = fn(&PredictionStats) -> u64;
+
+/// The `predictor.*` counters mirrored from [`PredictionStats`].
+const MIRRORED: [(&str, StatsField); 6] = [
+    ("predictor.rays", |s| s.rays),
+    ("predictor.hits", |s| s.hits),
+    ("predictor.predicted", |s| s.predicted),
+    ("predictor.verified", |s| s.verified),
+    ("predictor.predicted_nodes_evaluated", |s| {
+        s.predicted_nodes_evaluated
+    }),
+    ("predictor.prediction_eval_fetches", |s| {
+        s.prediction_eval_fetches
+    }),
+];
 
 impl<'a, K: TraversalKernel> Predicted<'a, K> {
     /// Wraps `kernel` with a fresh predictor configured by `config`. The
@@ -85,6 +107,7 @@ impl<'a, K: TraversalKernel> Predicted<'a, K> {
             bvh,
             kernel,
             obs: Arc::clone(rip_obs::Obs::global()),
+            counters: None,
             mirrored,
         }
     }
@@ -93,55 +116,51 @@ impl<'a, K: TraversalKernel> Predicted<'a, K> {
     /// the process-wide default instance.
     pub fn with_obs(mut self, obs: Arc<rip_obs::Obs>) -> Self {
         self.obs = obs;
+        self.counters = None;
         self
     }
 
     /// Traces one ray, returning the full per-ray predictor accounting
     /// (outcome, split prediction/fallback stats, `k`).
     ///
-    /// After every trace the predictor's cumulative
-    /// [`PredictionStats`] are mirrored field-for-field into the
-    /// attached [`Obs`](rip_obs::Obs) registry under `predictor.*`.
+    /// On return the attached [`Obs`](rip_obs::Obs) registry's
+    /// `predictor.*` counters equal the predictor's cumulative
+    /// [`PredictionStats`] field for field — the same contract as every
+    /// public trace call; [`TraversalKernel::trace_batch`] keeps it
+    /// with one flush per batch instead of one per ray.
     pub fn trace_detailed(&mut self, ray: &Ray, kind: TraversalKind) -> PredictedTrace {
-        let trace = match kind {
+        let trace = self.trace_unmirrored(ray, kind);
+        self.flush_stats();
+        trace
+    }
+
+    /// The §3 flow for one ray, leaving the registry untouched.
+    fn trace_unmirrored(&mut self, ray: &Ray, kind: TraversalKind) -> PredictedTrace {
+        match kind {
             TraversalKind::AnyHit => {
                 trace_occlusion_with(&mut self.predictor, self.bvh, &mut self.kernel, ray)
             }
             TraversalKind::ClosestHit => {
                 trace_closest_with(&mut self.predictor, self.bvh, &mut self.kernel, ray)
             }
-        };
-        self.mirror_stats();
-        trace
+        }
     }
 
     /// Adds the not-yet-mirrored slice of the predictor's stats to the
     /// registry (saturating, so a caller resetting stats via
     /// [`Predicted::predictor_mut`] re-baselines instead of panicking).
-    fn mirror_stats(&mut self) {
+    fn flush_stats(&mut self) {
         let now = self.predictor.stats();
-        let last = self.mirrored;
+        if now == self.mirrored {
+            return;
+        }
         let obs = &self.obs;
-        obs.add("predictor.rays", now.rays.saturating_sub(last.rays));
-        obs.add("predictor.hits", now.hits.saturating_sub(last.hits));
-        obs.add(
-            "predictor.predicted",
-            now.predicted.saturating_sub(last.predicted),
-        );
-        obs.add(
-            "predictor.verified",
-            now.verified.saturating_sub(last.verified),
-        );
-        obs.add(
-            "predictor.predicted_nodes_evaluated",
-            now.predicted_nodes_evaluated
-                .saturating_sub(last.predicted_nodes_evaluated),
-        );
-        obs.add(
-            "predictor.prediction_eval_fetches",
-            now.prediction_eval_fetches
-                .saturating_sub(last.prediction_eval_fetches),
-        );
+        let counters = self
+            .counters
+            .get_or_insert_with(|| MIRRORED.map(|(path, _)| obs.counter(path)));
+        for ((_, field), counter) in MIRRORED.iter().zip(counters.iter()) {
+            counter.add(field(&now).saturating_sub(field(&self.mirrored)));
+        }
         self.mirrored = now;
     }
 
@@ -177,13 +196,27 @@ impl<K: TraversalKernel> TraversalKernel for Predicted<'_, K> {
     }
 
     fn trace(&mut self, ray: &Ray, kind: TraversalKind) -> TraversalResult {
-        let trace = self.trace_detailed(ray, kind);
-        let mut stats = trace.prediction_stats;
-        stats += trace.fallback_stats;
-        TraversalResult {
-            hit: trace.hit,
-            stats,
-        }
+        flattened(self.trace_detailed(ray, kind))
+    }
+
+    /// Runs the flow ray by ray with no per-ray mirror, then flushes the
+    /// batch's stats delta once.
+    fn trace_batch(&mut self, batch: &RayBatch, kind: TraversalKind) -> Vec<TraversalResult> {
+        let results = (0..batch.len())
+            .map(|i| flattened(self.trace_unmirrored(&batch.ray(i), kind)))
+            .collect();
+        self.flush_stats();
+        results
+    }
+}
+
+/// One ray's predictor accounting as a plain kernel result.
+fn flattened(trace: PredictedTrace) -> TraversalResult {
+    let mut stats = trace.prediction_stats;
+    stats += trace.fallback_stats;
+    TraversalResult {
+        hit: trace.hit,
+        stats,
     }
 }
 

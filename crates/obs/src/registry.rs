@@ -4,8 +4,9 @@
 //! `gpusim.dram.access`, `predictor.verified`). Each path maps to one
 //! process-shared atomic, so incrementing from worker threads is cheap
 //! and never requires coordination beyond the atomic itself; the
-//! registry lock is only taken to *resolve* a path, and hot call sites
-//! can hold on to the returned [`Counter`] handle to skip even that.
+//! registry lock is only taken to *resolve* a path (allocation-free once
+//! the path is registered), and hot call sites hold on to the returned
+//! [`Counter`] handle to skip even that.
 //!
 //! Counters are monotonic `u64` totals. Snapshots come back as a sorted
 //! map, so rendering a snapshot — or diffing two of them — is
@@ -82,18 +83,35 @@ impl CounterRegistry {
     /// names are compile-time constants in practice, so a malformed one
     /// is a programming error, not a runtime condition.
     pub fn counter(&self, path: &str) -> Counter {
-        assert!(is_valid_path(path), "malformed counter path '{path}'");
-        let mut counters = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        Counter(Arc::clone(
-            counters
-                .entry(path.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        ))
+        Counter(self.with_slot(path, Arc::clone))
     }
 
     /// Adds `n` to the counter at `path` (registering it on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `path` is malformed (see [`CounterRegistry::counter`]).
     pub fn add(&self, path: &str, n: u64) {
-        self.counter(path).add(n);
+        self.with_slot(path, |slot| slot.fetch_add(n, Ordering::Relaxed));
+    }
+
+    /// Runs `f` on the atomic at `path` under the registry lock. An
+    /// already-registered path is found by `&str` lookup, so only the
+    /// first use of a path validates it and allocates its key — a
+    /// malformed path can never have been registered, so it still
+    /// panics on every use.
+    fn with_slot<R>(&self, path: &str, f: impl FnOnce(&Arc<AtomicU64>) -> R) -> R {
+        let mut counters = self.counters.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(slot) = counters.get(path) {
+            return f(slot);
+        }
+        if !is_valid_path(path) {
+            drop(counters);
+            panic!("malformed counter path '{path}'");
+        }
+        f(counters
+            .entry(path.to_string())
+            .or_insert_with(|| Arc::new(AtomicU64::new(0))))
     }
 
     /// The current total at `path` (0 when never registered).
@@ -178,6 +196,22 @@ mod tests {
     #[should_panic(expected = "malformed counter path")]
     fn malformed_path_panics() {
         CounterRegistry::new().counter("Not.Valid");
+    }
+
+    #[test]
+    fn malformed_add_panics_every_time_and_registers_nothing() {
+        let reg = CounterRegistry::new();
+        reg.add("ok.path", 1);
+        for _ in 0..2 {
+            let result = std::panic::catch_unwind(|| reg.add("Not.Valid", 1));
+            assert!(result.is_err(), "a malformed path must panic on every use");
+        }
+        // The registry stays usable and holds only the valid path.
+        reg.add("ok.path", 1);
+        assert_eq!(
+            reg.snapshot().into_iter().collect::<Vec<_>>(),
+            [("ok.path".to_string(), 2)]
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::Rejection;
 use rip_bvh::{RayBatch, StacklessKernel, TraversalKernel};
 use rip_core::{ConcurrentPredictorTable, Predicted, PredictorConfig, SharedTable, TableStats};
 use rip_exec::{Case, Fault, FaultKind, InjectionPlan, JobPool, RetryPolicy};
-use rip_obs::{Histogram, Obs};
+use rip_obs::{Counter, Histogram, Obs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -250,6 +250,8 @@ pub struct RayService {
     admission: AdmissionControl,
     controller: Mutex<ModeController>,
     obs: Arc<Obs>,
+    /// Per-class counter handles, indexed by [`RequestClass::index`].
+    class_counters: [ClassCounters; RequestClass::ALL.len()],
     stats: Mutex<ServiceStats>,
     next_id: AtomicU64,
 }
@@ -266,8 +268,8 @@ impl RayService {
         RayService::with_obs(lease, tenants, config, Arc::clone(Obs::global()))
     }
 
-    /// A service timestamped by an explicit [`Obs`] (tests pin a
-    /// logical clock here for deterministic latency and deadline
+    /// A service timestamped and counted by an explicit [`Obs`] (tests
+    /// pin a logical clock here for deterministic latency and deadline
     /// decisions).
     pub fn with_obs(
         lease: SceneLease,
@@ -289,6 +291,7 @@ impl RayService {
             pool: JobPool::new(config.jobs),
             admission: AdmissionControl::new(tenants.max(1), config.admission),
             controller: Mutex::new(ModeController::new(config.degrade)),
+            class_counters: RequestClass::ALL.map(|class| ClassCounters::resolve(&obs, class)),
             obs,
             stats: Mutex::new(ServiceStats::default()),
             next_id: AtomicU64::new(0),
@@ -331,7 +334,9 @@ impl RayService {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// The clock all latency and deadline arithmetic reads.
+    /// The clock all latency and deadline arithmetic reads, and the
+    /// registry every `serve.*` and `predictor.*` counter of this service
+    /// lands in.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
@@ -462,7 +467,7 @@ impl RayService {
             stats.classes[bp.class.index()].shed += 1;
         }
         self.obs.add("serve.shed", 1);
-        self.obs.add(&format!("serve.shed.{}", bp.class.label()), 1);
+        self.class_counters[bp.class.index()].shed.inc();
         bp.into()
     }
 
@@ -519,8 +524,7 @@ impl RayService {
             }
             drop(stats);
             for request in &expired {
-                self.obs
-                    .add(&format!("serve.expired.{}", request.class.label()), 1);
+                self.class_counters[request.class.index()].expired.inc();
             }
         }
 
@@ -668,7 +672,8 @@ impl RayService {
                             config,
                             shared,
                             StacklessKernel::new(bvh),
-                        );
+                        )
+                        .with_obs(Arc::clone(obs));
                         kernel
                             .trace_batch(&sub, kind)
                             .iter()
@@ -774,13 +779,33 @@ impl RayService {
         stats.completed_rays += completed_rays;
         stats.retried_chunks += retried;
         drop(stats);
-        self.obs
-            .add(&format!("serve.rays.{}", class.label()), completed_rays);
+        self.class_counters[slot_index].rays.add(completed_rays);
         self.obs.add("serve.requests", outcome.completed as u64);
         if retried > 0 {
             self.obs.add("serve.chunk_retries", retried);
         }
         outcome
+    }
+}
+
+/// One request class's `serve.{shed,expired,rays}.<class>` counters,
+/// resolved once so shedding, expiring or completing a request never
+/// formats a counter path.
+#[derive(Debug)]
+struct ClassCounters {
+    shed: Counter,
+    expired: Counter,
+    rays: Counter,
+}
+
+impl ClassCounters {
+    fn resolve(obs: &Obs, class: RequestClass) -> Self {
+        let counter = |kind: &str| obs.counter(&format!("serve.{kind}.{}", class.label()));
+        ClassCounters {
+            shed: counter("shed"),
+            expired: counter("expired"),
+            rays: counter("rays"),
+        }
     }
 }
 

@@ -259,3 +259,69 @@ fn rejections_never_consume_request_ids() {
     assert_eq!(stats.shed_requests, 1);
     assert_eq!(stats.rejected_unmeetable, 1);
 }
+
+#[test]
+fn service_counters_land_in_the_service_obs() {
+    // Predictor, shed, expiry and per-class ray counters all report to
+    // the service's own `Obs`, with the same totals as its stats.
+    let service = logical_service(
+        1,
+        ServiceConfig {
+            chunk_rays: 8,
+            queue_capacity: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let rays = down_rays(20, &service);
+    let deadline = service.now_us() + 4;
+    service
+        .submit_with_deadline(0, RequestClass::Shadow, rays.clone(), Some(deadline))
+        .unwrap();
+    service
+        .submit(0, RequestClass::AmbientOcclusion, rays.clone())
+        .unwrap();
+    let err = service
+        .submit(0, RequestClass::AmbientOcclusion, rays.clone())
+        .unwrap_err();
+    assert!(matches!(err, Rejection::Backpressure(_)));
+    for _ in 0..10 {
+        service.now_us(); // Let the shadow request's deadline pass.
+    }
+    let round = service.run_round();
+    assert_eq!(round.mode, ServiceMode::Full);
+    assert_eq!((round.requests, round.expired), (1, 1));
+    service.submit(0, RequestClass::Primary, rays).unwrap();
+    let round = service.run_round();
+    assert_eq!(round.mode, ServiceMode::Full);
+
+    let stats = service.stats();
+    let obs = service.obs();
+    assert_eq!(stats.completed_rays, 40);
+    assert_eq!(
+        obs.get("predictor.rays"),
+        stats.completed_rays,
+        "every ray traced with prediction must count in the service's Obs"
+    );
+    for class in RequestClass::ALL {
+        let slot = &stats.classes[class.index()];
+        let label = class.label();
+        assert_eq!(
+            obs.get(&format!("serve.shed.{label}")),
+            slot.shed,
+            "{label}"
+        );
+        assert_eq!(
+            obs.get(&format!("serve.expired.{label}")),
+            slot.expired,
+            "{label}"
+        );
+        assert_eq!(
+            obs.get(&format!("serve.rays.{label}")),
+            slot.rays,
+            "{label}"
+        );
+    }
+    assert_eq!(obs.get("serve.shed"), 1);
+    assert_eq!(obs.get("serve.shed.ao"), 1);
+    assert_eq!(obs.get("serve.expired.shadow"), 1);
+}

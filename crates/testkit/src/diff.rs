@@ -137,7 +137,9 @@ pub fn kernels<'a>(oracle: &'a DiffOracle) -> Vec<Box<dyn TraversalKernel + 'a>>
     ]
 }
 
-fn assert_results_bit_exact(
+/// Asserts two traversal results are bit-exact: the same hit (`t`
+/// bits, triangle and leaf) and the same traversal statistics.
+pub fn assert_results_bit_exact(
     context: &str,
     got: &rip_bvh::TraversalResult,
     want: &rip_bvh::TraversalResult,

@@ -365,10 +365,10 @@ pub fn report_registry_mismatches(report: &SimReport, obs: &Obs) -> Vec<String> 
     diff_counter_maps(&expected, &actual)
 }
 
-/// Diffs the `predictor.*` counters in `obs` against `stats`
-/// field-for-field. Empty means `Predicted<K>` mirrored exactly.
-pub fn prediction_registry_mismatches(stats: &rip_core::PredictionStats, obs: &Obs) -> Vec<String> {
-    let expected: BTreeMap<String, u64> = [
+/// The `predictor.*` counter totals `Predicted<K>` mirrors for `stats`,
+/// keyed by path.
+pub fn prediction_counters(stats: &rip_core::PredictionStats) -> BTreeMap<String, u64> {
+    [
         ("predictor.rays", stats.rays),
         ("predictor.hits", stats.hits),
         ("predictor.predicted", stats.predicted),
@@ -384,14 +384,25 @@ pub fn prediction_registry_mismatches(stats: &rip_core::PredictionStats, obs: &O
     ]
     .into_iter()
     .map(|(k, v)| (k.to_string(), v))
-    .collect();
-    let actual: BTreeMap<String, u64> = obs
-        .registry()
+    .collect()
+}
+
+/// The `predictor.*` counters registered in `obs`.
+pub fn registered_prediction_counters(obs: &Obs) -> BTreeMap<String, u64> {
+    obs.registry()
         .snapshot()
         .into_iter()
         .filter(|(path, _)| path.starts_with("predictor."))
-        .collect();
-    diff_counter_maps(&expected, &actual)
+        .collect()
+}
+
+/// Diffs the `predictor.*` counters in `obs` against `stats`
+/// field-for-field. Empty means `Predicted<K>` mirrored exactly.
+pub fn prediction_registry_mismatches(stats: &rip_core::PredictionStats, obs: &Obs) -> Vec<String> {
+    diff_counter_maps(
+        &prediction_counters(stats),
+        &registered_prediction_counters(obs),
+    )
 }
 
 fn diff_counter_maps(

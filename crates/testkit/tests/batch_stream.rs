@@ -8,14 +8,18 @@
 //!    unsorted run bit for bit — the §5.2 sorted-ray configuration can
 //!    only change throughput, never an answer.
 //! 3. The predictor wrapper composes with all three BVH kernels without
-//!    changing any answer, cold or warm, sorted or not.
+//!    changing any answer, cold or warm, sorted or not — and its batch
+//!    entry point is bit-exact with its own per-ray calls.
 
 use rip_bvh::{
-    Bvh, RayBatch, StacklessKernel, TraversalKernel, WhileWhileKernel, WideBvh, WideKernel,
+    Bvh, RayBatch, StacklessKernel, TraversalKernel, TraversalKind, WhileWhileKernel, WideBvh,
+    WideKernel,
 };
 use rip_core::{Predicted, PredictorConfig};
 use rip_math::{Ray, Triangle};
+use rip_obs::{ClockMode, Obs};
 use rip_testkit::{diff, gen};
+use std::sync::Arc;
 
 /// A mixed workload over one recipe: guaranteed hits, box-sampled rays
 /// (hit/miss blend) and grazing edge rays.
@@ -111,6 +115,67 @@ fn predicted_wrapper_answers_survive_morton_sorting() {
             b.hit.map(|h| (h.tri_index, h.t.to_bits())),
             u.hit.map(|h| (h.tri_index, h.t.to_bits())),
             "ray {i}: closest hit changed under Morton sorting with a live predictor"
+        );
+    }
+}
+
+/// Drives two identically built predictors through the same cold and
+/// warm passes of both query kinds — one through `trace_batch`, one ray
+/// by ray through `trace` — and asserts every result and the predictor
+/// stats stay bit-identical.
+fn assert_predicted_batch_matches_per_ray<'a, K: TraversalKernel>(
+    make: impl Fn() -> Predicted<'a, K>,
+    batch: &RayBatch,
+) {
+    let mut batched = make().with_obs(Arc::new(Obs::new(ClockMode::Logical)));
+    let mut per_ray = make().with_obs(Arc::new(Obs::new(ClockMode::Logical)));
+    let name = batched.name();
+    for pass in ["cold", "warm"] {
+        for kind in [TraversalKind::AnyHit, TraversalKind::ClosestHit] {
+            let got = batched.trace_batch(batch, kind);
+            assert_eq!(got.len(), batch.len(), "one result per ray");
+            for (i, result) in got.iter().enumerate() {
+                let want = per_ray.trace(&batch.ray(i), kind);
+                diff::assert_results_bit_exact(
+                    &format!("{name} {pass} ray {i} ({kind:?}) batch-vs-per-ray"),
+                    result,
+                    &want,
+                );
+            }
+            assert_eq!(
+                batched.predictor().stats(),
+                per_ray.predictor().stats(),
+                "{name} {pass} ({kind:?}): predictor stats diverged"
+            );
+        }
+    }
+    assert!(
+        batched.predictor().stats().verified > 0,
+        "{name}: the warm pass should verify rays"
+    );
+}
+
+#[test]
+fn predicted_batch_is_bit_exact_with_per_ray_trace() {
+    for (recipe, seed) in [
+        (gen::SceneRecipe::Walls, 7),
+        (gen::SceneRecipe::Clustered, 8),
+    ] {
+        let (tris, rays) = workload(recipe, seed);
+        let bvh = Bvh::build(&tris);
+        let wide = WideBvh::from_binary(&bvh);
+        let batch = RayBatch::from_rays(&rays);
+        assert_predicted_batch_matches_per_ray(
+            || Predicted::new(&bvh, eager(), WhileWhileKernel::new(&bvh)),
+            &batch,
+        );
+        assert_predicted_batch_matches_per_ray(
+            || Predicted::new(&bvh, eager(), StacklessKernel::new(&bvh)),
+            &batch,
+        );
+        assert_predicted_batch_matches_per_ray(
+            || Predicted::new(&bvh, eager(), WideKernel::new(&wide, &bvh)),
+            &batch,
         );
     }
 }
