@@ -108,7 +108,7 @@ fn main() {
         0,
         "replay fell back to live traversal"
     );
-    let captures = replay_ctx.trace_store().stats().captures;
+    let captures = replay_ctx.trace_store().stats().builds;
     assert_eq!(
         captures, scenes as u64,
         "expected exactly one capture per scene"

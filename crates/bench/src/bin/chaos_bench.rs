@@ -45,6 +45,7 @@
 //!
 //! Exit status: 0 on pass, 1 on a floor/accounting violation.
 
+use rip_bench::store_dirs_from_env;
 use rip_exec::{CaseCache, CaseKey, FaultKind};
 use rip_scene::{SceneId, SceneScale};
 use rip_serve::{ChaosConfig, LoadGenConfig, RayService, SceneRegistry, ServiceConfig};
@@ -134,7 +135,7 @@ fn main() {
         seed,
     };
     let key = CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 64);
-    let registry = SceneRegistry::new(Arc::new(CaseCache::new()));
+    let registry = SceneRegistry::new(Arc::new(CaseCache::with_disk_dir(store_dirs_from_env().0)));
     let lease = registry.get(key);
     let service = RayService::new(
         lease,

@@ -29,6 +29,7 @@
 //! with traffic reports degenerate percentiles, or any request failed
 //! (this bench runs with injection off — failures here are real bugs).
 
+use rip_bench::store_dirs_from_env;
 use rip_exec::{CaseCache, CaseKey};
 use rip_scene::{SceneId, SceneScale};
 use rip_serve::{LoadGenConfig, LoadReport, RayService, SceneRegistry, ServiceConfig};
@@ -82,7 +83,7 @@ fn main() {
     }
 
     let key = CaseKey::square(SceneId::Sibenik, SceneScale::Tiny, 64);
-    let registry = SceneRegistry::new(Arc::new(CaseCache::new()));
+    let registry = SceneRegistry::new(Arc::new(CaseCache::with_disk_dir(store_dirs_from_env().0)));
     let lease = registry.get(key);
     let service = RayService::new(
         lease,

@@ -110,13 +110,14 @@ impl Context {
 
     /// Creates a context with an explicit worker-thread count.
     pub fn with_jobs(scale: SceneScale, selection: SceneSelection, jobs: usize) -> Self {
+        let (cache_dir, trace_dir) = store_dirs_from_env();
         Context::assemble(
             scale,
             selection,
             jobs,
             Arc::clone(Obs::global()),
-            CaseCache::new(),
-            TraceStore::new(),
+            CaseCache::with_disk_dir(cache_dir),
+            TraceStore::with_dir(trace_dir),
         )
     }
 
@@ -559,6 +560,23 @@ impl Context {
     }
 }
 
+/// The disk directories of the case cache and the trace store, from
+/// `RIP_CACHE_DIR` and `RIP_TRACE_DIR`. An empty value disables that
+/// disk tier; an unset one means `<system temp dir>/rip-artifacts` or
+/// `<system temp dir>/rip-traces`. The binaries read these knobs here
+/// and nowhere else.
+pub fn store_dirs_from_env() -> (Option<PathBuf>, Option<PathBuf>) {
+    let dir = |var: &str, default: &str| match std::env::var(var) {
+        Ok(dir) if dir.is_empty() => None,
+        Ok(dir) => Some(PathBuf::from(dir)),
+        Err(_) => Some(std::env::temp_dir().join(default)),
+    };
+    (
+        dir("RIP_CACHE_DIR", "rip-artifacts"),
+        dir("RIP_TRACE_DIR", "rip-traces"),
+    )
+}
+
 /// `RIP_JOBS` env override, else the machine's available parallelism.
 fn jobs_from_env() -> usize {
     match std::env::var("RIP_JOBS") {
@@ -721,7 +739,7 @@ mod tests {
         assert!(ctx
             .workload_trace(&case, "ao", &batch, TraversalKind::AnyHit)
             .is_none());
-        assert_eq!(ctx.trace_store().stats().captures, 0, "Off never captures");
+        assert_eq!(ctx.trace_store().stats().builds, 0, "Off never captures");
 
         let ctx = scoped_ctx(TraceMode::Capture);
         let case = ctx.build_case_with_viewport(SceneId::Sibenik, 16);
@@ -729,7 +747,7 @@ mod tests {
         assert!(ctx
             .workload_trace(&case, "ao", &batch, TraversalKind::AnyHit)
             .is_none());
-        assert_eq!(ctx.trace_store().stats().captures, 1, "Capture records");
+        assert_eq!(ctx.trace_store().stats().builds, 1, "Capture records");
 
         let ctx = scoped_ctx(TraceMode::Replay);
         let case = ctx.build_case_with_viewport(SceneId::Sibenik, 16);
@@ -741,7 +759,7 @@ mod tests {
             .workload_trace(&case, "ao", &batch, TraversalKind::AnyHit)
             .expect("second lookup hits the memory tier");
         assert!(Arc::ptr_eq(&a, &b), "one capture serves every sweep config");
-        assert_eq!(ctx.trace_store().stats().captures, 1);
+        assert_eq!(ctx.trace_store().stats().builds, 1);
     }
 
     #[test]

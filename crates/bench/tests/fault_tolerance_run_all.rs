@@ -6,7 +6,8 @@
 //! stdout tables byte-identical to an uninterrupted run.
 //!
 //! These tests drive the real binary (`CARGO_BIN_EXE_run_all`) at tiny
-//! scale with one scene, sharing one artifact cache across runs.
+//! scale with one scene, sharing one artifact cache across runs; the
+//! test that damages artifacts damages a private copy of it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -62,8 +63,19 @@ fn faulted_sweep_completes_reports_and_exits_nonzero() {
 
     // Damage the on-disk cache for real (exercises quarantine+rebuild on
     // stderr) and inject one panicking unit plus one unrecoverable
-    // corruption fault (both must be *named* in the failure report).
-    let cache_dir = temp_root().join("artifacts");
+    // corruption fault (both must be *named* in the failure report). The
+    // damage goes into a private copy of the populated cache: the other
+    // tests' sweeps share `artifacts` and would otherwise quarantine and
+    // rebuild the flipped file before this sweep reads it.
+    let cache_dir = temp_root().join("faulted-artifacts");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    std::fs::create_dir_all(&cache_dir).unwrap();
+    for entry in std::fs::read_dir(temp_root().join("artifacts")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "scene" || e == "bvh") {
+            std::fs::copy(&path, cache_dir.join(path.file_name().unwrap())).unwrap();
+        }
+    }
     let mut flipped = 0;
     for entry in std::fs::read_dir(&cache_dir).unwrap() {
         let path = entry.unwrap().path();
@@ -79,10 +91,13 @@ fn faulted_sweep_completes_reports_and_exits_nonzero() {
 
     let output = run_all(
         &[],
-        &[(
-            "RIP_FAULT_INJECT",
-            "panic:fig12_speedup;corrupt:table8_hash",
-        )],
+        &[
+            ("RIP_CACHE_DIR", cache_dir.to_str().unwrap()),
+            (
+                "RIP_FAULT_INJECT",
+                "panic:fig12_speedup;corrupt:table8_hash",
+            ),
+        ],
     );
     assert_eq!(
         output.status.code(),

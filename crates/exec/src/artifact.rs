@@ -1,6 +1,6 @@
 //! Artifact mapping: filesystem bytes → shared [`Bytes`] views.
 //!
-//! The cache decodes RIPA v2 artifacts *in place* (see
+//! The artifact store decodes RIPA v2 artifacts *in place* (see
 //! `rip_scene::serial::decode_shared` / `rip_bvh::serial::decode_shared`),
 //! so the bytes backing a decoded case must stay alive and immutable for
 //! the case's whole lifetime. [`MappedArtifact`] owns that guarantee
@@ -21,10 +21,10 @@
 //! Failures are classified into the existing [`CacheError`] taxonomy:
 //! an absent file is a plain [`CacheError::Miss`], an unreadable one is
 //! [`CacheError::Io`], and an implausible length is
-//! [`CacheError::Corrupt`] so the cache quarantines it like any other
+//! [`CacheError::Corrupt`] so the store quarantines it like any other
 //! damaged artifact.
 
-use crate::cache::CacheError;
+use crate::store::CacheError;
 use rip_pod::{AlignedBuf, Bytes};
 use std::io::Read;
 use std::path::Path;

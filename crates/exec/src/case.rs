@@ -1,8 +1,5 @@
-//! Benchmark cases: a scene plus its acceleration structure.
-//!
-//! `Case` used to live in the `rip-bench` harness; it moved here so the
-//! [`CaseCache`](crate::cache::CaseCache) can build, persist, and share
-//! cases across experiments without depending on the bench crate.
+//! Benchmark cases: a scene plus its acceleration structure, as built,
+//! persisted and shared by the [`CaseCache`](crate::cache::CaseCache).
 
 use std::sync::{Arc, OnceLock};
 

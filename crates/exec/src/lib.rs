@@ -1,14 +1,14 @@
 //! rip-exec: parallel, fault-tolerant experiment execution engine.
 //!
-//! Five layers, each usable on its own:
-//!
 //! - [`pool`]: a scoped-thread [`JobPool`](pool::JobPool) with a global job
 //!   budget and *ordered* result collection, so parallel runs produce
 //!   byte-identical output to serial runs.
-//! - [`cache`]: a process-wide [`CaseCache`](cache::CaseCache) mapping
-//!   `(scene, scale, viewport)` to a built [`Case`], backed by an on-disk
-//!   artifact store of serialized meshes and BVH node buffers; corrupt
-//!   artifacts are quarantined to `*.quarantine` and rebuilt from source.
+//! - The artifact store (private `store` module): a build-once memory
+//!   tier over an optional disk tier that classifies failed loads as
+//!   [`CacheError`]s, quarantines corrupt files and writes atomically.
+//!   Two thin views use it: [`cache`]'s [`CaseCache`] of built
+//!   [`Case`]s, and [`trace_store`]'s capture-once [`TraceStore`] of
+//!   recorded RIPT traces. [`artifact`] maps their files.
 //! - [`runner`]: a [`ShardedRunner`](runner::ShardedRunner) fanning
 //!   `(scene, config)` work units across the pool with per-unit timing and
 //!   progress telemetry on stderr (stdout stays deterministic), plus a
@@ -20,18 +20,13 @@
 //!   hook.
 //! - [`journal`]: a crash-safe checkpoint journal of completed units so a
 //!   killed sweep resumes where it left off.
-//! - [`trace_store`]: a capture-once [`TraceStore`](trace_store::TraceStore)
-//!   of recorded RIPT ray-trace sets keyed by workload label, honoring
-//!   `$RIP_TRACE_DIR`, with the same quarantine-and-recapture fault
-//!   contract as the artifact store.
 //!
-//! Every diagnostic that used to be a raw `eprintln!` is now a
-//! structured [`rip_obs`] event: the stderr text is printed verbatim
-//! (greps keep working), while the structured part feeds the bounded
-//! event log, the `exec.*` counters, and — when tracing is enabled —
-//! the chrome://tracing export. Caches and runners accept a scoped
-//! [`Obs`](rip_obs::Obs) via their `with_obs` builders; everything else
-//! uses the process-wide instance.
+//! Every diagnostic is a structured [`rip_obs`] event whose stderr text
+//! prints verbatim, while the structured part feeds the event log, the
+//! `exec.*` counters and the chrome://tracing export. Stores and runners
+//! take a scoped [`Obs`](rip_obs::Obs) via `with_obs`; everything else
+//! uses the process-wide instance. The stores read no environment:
+//! callers pass their directories.
 
 pub mod artifact;
 pub mod cache;
@@ -40,10 +35,11 @@ pub mod fault;
 pub mod journal;
 pub mod pool;
 pub mod runner;
+mod store;
 pub mod trace_store;
 
 pub use artifact::MappedArtifact;
-pub use cache::{CacheError, CacheStats, CaseCache};
+pub use cache::CaseCache;
 pub use case::{Case, CaseKey};
 pub use fault::{
     apply_injections, unit_timeout_from_env, Fault, FaultKind, InjectionPlan, RetryPolicy,
@@ -51,4 +47,5 @@ pub use fault::{
 pub use journal::{Journal, JournalEntry};
 pub use pool::{available_parallelism, global_budget, set_global_budget, JobPool};
 pub use runner::{ShardedRunner, UnitReport};
-pub use trace_store::{TraceStore, TraceStoreStats};
+pub use store::{CacheError, CacheStats};
+pub use trace_store::TraceStore;

@@ -117,6 +117,12 @@ fn artifact_for_a_different_key_triggers_rebuild() {
         }
     }
     assert_rebuilds(&dir, "artifacts belonging to a different key");
+    // Either file could be the imposter, so both are quarantined.
+    for path in [scene_path, bvh_path] {
+        let mut quarantined = path.into_os_string();
+        quarantined.push(".quarantine");
+        assert!(Path::new(&quarantined).exists(), "{quarantined:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&other_dir);
 }

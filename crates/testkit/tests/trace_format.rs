@@ -98,7 +98,7 @@ const CORRUPTIONS: [Corruption; 7] = [
 fn seed_trace(dir: &Path, bvh: &Bvh, batch: &RayBatch, kind: TraversalKind) -> PathBuf {
     let store = TraceStore::with_dir(Some(dir.to_path_buf()));
     store.get_or_capture("matrix", bvh, batch, kind);
-    assert_eq!(store.stats().captures, 1, "seed run must capture");
+    assert_eq!(store.stats().builds, 1, "seed run must capture");
     let paths = faultinject::artifacts_with_ext(dir, "ript");
     assert_eq!(paths.len(), 1, "expected exactly one trace artifact");
     paths[0].clone()
@@ -125,7 +125,7 @@ fn corruption_matrix_always_quarantines_and_recaptures() {
             stats.disk_hits, 0,
             "{label}: a damaged trace was served as a hit"
         );
-        assert_eq!(stats.captures, 1, "{label}: expected a clean recapture");
+        assert_eq!(stats.builds, 1, "{label}: expected a clean recapture");
         assert!(
             stats.quarantines >= 1,
             "{label}: damaged trace must be quarantined"
@@ -203,7 +203,7 @@ fn stale_workloads_quarantine_instead_of_replaying() {
     let set = store.get_or_capture("matrix", &bvh, &other, TraversalKind::AnyHit);
     let stats = store.stats();
     assert_eq!(stats.disk_hits, 0, "stale trace must not replay");
-    assert_eq!(stats.captures, 1);
+    assert_eq!(stats.builds, 1);
     assert!(stats.quarantines >= 1, "stale trace must be quarantined");
     set.attach(&bvh, &other).unwrap();
 
@@ -215,7 +215,7 @@ fn stale_workloads_quarantine_instead_of_replaying() {
     store.get_or_capture("matrix", &bvh, &batch, TraversalKind::ClosestHit);
     let stats = store.stats();
     assert_eq!(stats.disk_hits, 0);
-    assert_eq!(stats.captures, 1);
+    assert_eq!(stats.builds, 1);
     assert_eq!(stats.quarantines, 0, "a kind miss is not a corruption");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
